@@ -25,7 +25,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .codes import CodeError, sample_distinct_pair
 from .core import (
@@ -69,13 +68,8 @@ from .type2 import (
 __all__ = ["main", "run_suite", "SUITE_NAMES"]
 
 
-def _thread_cap() -> int:
-    raw = os.environ.get("LIS_LAB_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 1
-    return max(1, cap)
+# the integer flags `gen`, `verify` and `bp-check` share
+_SHARED_FLAGS = ("n", "m", "p", "q", "k", "R", "count", "budget", "seed")
 
 
 def _row(check: str, passed: bool, count: int, violations: int, **detail) -> dict:
@@ -122,8 +116,9 @@ def _suite_type1(n: int = 64, seed: int = 0):
     pair_bad = pairs = 0
     for u, v in itertools.combinations(code.codewords, 2):
         pairs += 1
-        forward = lis_patience(build_z(u, v).z_uv)[0]
-        backward = lis_patience(build_z(v, u).z_uv)[0]
+        inst = build_z(u, v)
+        forward = lis_patience(inst.z_uv)[0]
+        backward = lis_patience(inst.z_vu)[0]
         if min(forward, backward) > lo:
             pair_bad += 1
     checks = [
@@ -168,12 +163,7 @@ def _random_01_matrix(rng: random.Random) -> tuple[tuple[int, ...], ...]:
 def _suite_grid(count: int = 500, seed: int = 0):
     rng = random.Random(seed)
     matrices = [_random_01_matrix(rng) for _ in range(count)]
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            reports = list(pool.map(lis_equals_max_path_check, matrices))
-    else:
-        reports = [lis_equals_max_path_check(m) for m in matrices]
+    reports = [lis_equals_max_path_check(m) for m in matrices]
     rand_bad = sum(1 for r in reports if not r.passed)
     plus_one = sum(1 for r in reports if r.lis_full == r.weight + 1)
 
@@ -527,11 +517,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    params = {}
-    for name in ("n", "m", "k", "count", "budget", "seed"):
-        value = getattr(args, name)
-        if value is not None:
-            params[name] = value
+    flags = vars(args)  # run_suite rejects a set flag the suite does not take
+    params = {f: flags[f] for f in _SHARED_FLAGS if flags[f] is not None}
     report = run_suite(args.suite, **params)
     text = render_csv(report) if args.format == "csv" else render_json(report)
     _emit(text, args.out)
@@ -569,9 +556,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lis.set_defaults(func=cmd_lis)
 
     shared = argparse.ArgumentParser(add_help=False)
-    for flag in ("n", "m", "p", "q", "k", "R", "count", "budget"):
+    for flag in _SHARED_FLAGS:
         shared.add_argument(f"--{flag}", type=int, default=None)
-    shared.add_argument("--seed", type=int, default=None)
     shared.add_argument("--out", default=None)
 
     p_gen = sub.add_parser(

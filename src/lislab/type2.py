@@ -57,6 +57,8 @@ __all__ = [
 BIT_ONE_COLUMN = (1, 1, 0, 0, 0, 0, 1, 1, 0)
 BIT_ZERO_COLUMN = (0, 0, 1, 1, 1, 1, 0, 0, 0)
 
+_BIT_COLUMNS = np.array((BIT_ZERO_COLUMN, BIT_ONE_COLUMN), dtype=np.int8)
+
 _NEG = np.int64(-(1 << 40))
 
 
@@ -71,16 +73,6 @@ def expand_bit_9(b: int) -> tuple[int, ...]:
     return BIT_ONE_COLUMN if b else BIT_ZERO_COLUMN
 
 
-def _expand_word(bits: tuple[int, ...]) -> np.ndarray:
-    return np.array([x for b in bits for x in expand_bit_9(b)], dtype=np.int8)
-
-
-def _filler_column(p: int) -> np.ndarray:
-    col = np.zeros(9 * p, dtype=np.int8)
-    col[8::9] = 1  # rows 9, 18, ... carry the inter-block hops
-    return col
-
-
 def matrix_array(
     u: tuple[int, ...], v: tuple[int, ...], inner: BlockCode
 ) -> np.ndarray:
@@ -92,20 +84,34 @@ def matrix_array(
     for word in (u, v):
         if any(not 0 <= s < inner.size for s in word):
             raise GridError(f"outer symbol outside the inner code: {word}")
-    p = inner.length
-    filler = _filler_column(p)
-    expanded: dict[int, np.ndarray] = {}
+    p, q = inner.length, len(u)
+    bits = np.array([inner.codewords[s] for s in (*u, *v)], dtype=np.intp)
+    expanded = _BIT_COLUMNS[bits].reshape(2, q, 9 * p)
+    m = np.zeros((9 * p, 8 * q), dtype=np.int8)
+    m[8::9] = 1  # filler rows 9, 18, ... carry the inter-block hops
+    m[:, 3::8] = expanded[0].T  # Alice: three fillers, then u's expansion
+    m[:, 4::8] = expanded[1].T  # Bob: v's expansion, then three fillers
+    return m
 
-    def col_of(index: int) -> np.ndarray:
-        if index not in expanded:
-            expanded[index] = _expand_word(inner.codewords[index])
-        return expanded[index]
 
-    columns: list[np.ndarray] = []
-    for a, b in zip(u, v):
-        columns.extend((filler, filler, filler, col_of(a)))
-        columns.extend((col_of(b), filler, filler, filler))
-    return np.stack(columns, axis=1)
+def _grid_array(matrix) -> np.ndarray:
+    m = np.asarray(matrix)
+    if m.ndim != 2 or m.size == 0:
+        raise GridError("matrix must be two-dimensional and nonempty")
+    return m
+
+
+def _binary_grid(matrix) -> np.ndarray:
+    """A nonempty 2-D 0/1 matrix as int64; checked before the cast, so 0.5 fails."""
+    m = _grid_array(matrix)
+    if not np.isin(m, (0, 1)).all():
+        raise GridError("matrix entries must be 0 or 1")
+    return m.astype(np.int64)
+
+
+def _valuation(rows: int, cols: int) -> np.ndarray:
+    """cols*(i-1)+j at every 1-based cell (i, j)."""
+    return np.arange(1, rows * cols + 1, dtype=np.int64).reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -124,15 +130,15 @@ class GridInstance:
         rows, cols = 9 * self.p, 8 * self.q
         if len(self.matrix) != rows or any(len(r) != cols for r in self.matrix):
             raise GridError(f"matrix is not {rows} x {cols}")
-        for i, row in enumerate(self.matrix, start=1):
-            for j, cell in enumerate(row, start=1):
-                want = cols * (i - 1) + j if cell else 0
-                if self.m_prime[i - 1][j - 1] != want:
-                    raise GridError(f"valuation broken at ({i}, {j})")
-        column_major = tuple(
-            self.m_prime[i][j] for j in range(cols) for i in range(rows)
-        )
-        if self.sigma.symbols != column_major:
+        m_prime = np.asarray(self.m_prime)
+        if m_prime.shape != (rows, cols):
+            raise GridError(f"m_prime is not {rows} x {cols}")
+        want = _valuation(rows, cols) * (np.asarray(self.matrix) != 0)
+        broken = np.argwhere(m_prime != want)
+        if broken.size:
+            i, j = broken[0] + 1
+            raise GridError(f"valuation broken at ({i}, {j})")
+        if self.sigma.symbols != tuple(m_prime.T.reshape(-1).tolist()):
             raise GridError("sigma is not the column-major readout")
 
     def key_submatrix(self, i: int, j: int) -> tuple[tuple[int, ...], ...]:
@@ -146,22 +152,14 @@ class GridInstance:
 
 def valuate(matrix) -> tuple[tuple[int, ...], ...]:
     """Replace each 1 at (i,j) by cols*(i-1)+j, keep zeros."""
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.size == 0:
-        raise GridError("matrix must be two-dimensional and nonempty")
-    if not np.isin(m, (0, 1)).all():
-        raise GridError("matrix entries must be 0 or 1")
-    rows, cols = m.shape
-    values = (np.arange(rows)[:, None] * cols + np.arange(cols)[None, :] + 1) * m
-    return tuple(tuple(int(x) for x in row) for row in values)
+    m = _binary_grid(matrix)
+    return tuple(map(tuple, (_valuation(*m.shape) * m).tolist()))
 
 
 def serialize(m_prime) -> Sequence:
     """Column-major readout of a valuated matrix."""
-    arr = np.asarray(m_prime, dtype=np.int64)
-    if arr.ndim != 2 or arr.size == 0:
-        raise GridError("matrix must be two-dimensional and nonempty")
-    flat = tuple(int(x) for x in arr.T.reshape(-1))
+    arr = _grid_array(m_prime).astype(np.int64)
+    flat = tuple(arr.T.reshape(-1).tolist())
     return Sequence(flat, alphabet_bound=max(1, int(arr.max())))
 
 
@@ -175,7 +173,7 @@ def build_matrix(
         q=len(u),
         u=tuple(u),
         v=tuple(v),
-        matrix=tuple(tuple(int(x) for x in row) for row in m),
+        matrix=tuple(map(tuple, m.tolist())),
         m_prime=m_prime,
         sigma=serialize(m_prime),
     )
@@ -199,26 +197,22 @@ class GridPath:
 
 
 def _weight_table(m: np.ndarray) -> np.ndarray:
-    rows, cols = m.shape
-    table = np.empty((rows, cols), dtype=np.int64)
-    prev = np.full(cols, _NEG, dtype=np.int64)
+    """Best monotone-path weight from (1, 1) into every cell of a 0/1 matrix."""
+    prefix = np.cumsum(m, axis=1, dtype=np.int64)
+    gain = m - prefix
+    table = np.empty_like(prefix)
+    prev = np.full(m.shape[1], _NEG, dtype=np.int64)
     prev[0] = 0  # virtual cell above the start
-    for i in range(rows):
-        prefix = np.cumsum(m[i], dtype=np.int64)
+    for i in range(m.shape[0]):
         # best entry point k <= j: prev[k] + (ones on row i from k to j)
-        table[i] = prefix + np.maximum.accumulate(prev + m[i] - prefix)
-        prev = table[i]
+        prev = table[i] = prefix[i] + np.maximum.accumulate(prev + gain[i])
     return table
 
 
 def grid_max_weight(matrix) -> tuple[int, GridPath]:
     """Maximum 1-count over monotone (1,1) -> (rows, cols) paths, plus one
     witness path (ties broken toward the upper route)."""
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.ndim != 2 or m.size == 0:
-        raise GridError("matrix must be two-dimensional and nonempty")
-    if not np.isin(m, (0, 1)).all():
-        raise GridError("matrix entries must be 0 or 1")
+    m = _binary_grid(matrix)
     table = _weight_table(m)
     rows, cols = m.shape
     i, j = rows - 1, cols - 1
@@ -241,14 +235,7 @@ def grid_max_weight(matrix) -> tuple[int, GridPath]:
 def pair_weight(u: tuple[int, ...], v: tuple[int, ...], inner: BlockCode) -> int:
     """Maximum path weight of the pair's matrix, skipping instance and
     witness construction; the sweep workhorse."""
-    m = matrix_array(u, v, inner)
-    rows, cols = m.shape
-    prev = np.full(cols, _NEG, dtype=np.int64)
-    prev[0] = 0
-    for i in range(rows):
-        prefix = np.cumsum(m[i], dtype=np.int64)
-        prev = prefix + np.maximum.accumulate(prev + m[i] - prefix)
-    return int(prev[-1])
+    return int(_weight_table(matrix_array(u, v, inner))[-1, -1])
 
 
 @dataclass(frozen=True)
@@ -323,11 +310,7 @@ def matrix_chain(matrix) -> tuple[tuple[int, int], ...]:
     valuation makes any increasing subsequence strictly monotone in both
     coordinates. Output length is at least chain_length_bound(rows, cols).
     """
-    m = np.asarray(matrix, dtype=np.int64)
-    if m.ndim != 2 or m.size == 0:
-        raise GridError("matrix must be two-dimensional and nonempty")
-    if not np.isin(m, (0, 1)).all():
-        raise GridError("matrix entries must be 0 or 1")
+    m = _binary_grid(matrix)
     rows, cols = m.shape
     need = math.ceil(rows / 4)
     ones_per_column = m.sum(axis=0)

@@ -154,16 +154,14 @@ def test_csv_render_matches_checks():
     assert lines[1].startswith("distinguisher,padded-pairs-n5,")
 
 
-def test_grid_suite_thread_cap_agrees_with_serial(monkeypatch):
-    serial = run_suite("grid", count=40, seed=7)
-    monkeypatch.setenv("LIS_LAB_THREADS", "4")
-    threaded = run_suite("grid", count=40, seed=7)
-    serial.pop("runtime_seconds"), threaded.pop("runtime_seconds")
-    assert serial == threaded
-    monkeypatch.setenv("LIS_LAB_THREADS", "not-a-number")
-    fallback = run_suite("grid", count=40, seed=7)
-    fallback.pop("runtime_seconds")
-    assert fallback == serial
+def test_verify_rejects_flags_the_suite_does_not_take(capsys):
+    for argv in (
+        ["verify", "type2", "--p", "128"],
+        ["verify", "type2", "--q", "128"],
+        ["verify", "es", "--R", "3"],
+    ):
+        assert main(argv) == 2
+        assert "does not take" in capsys.readouterr().err
 
 
 def test_verify_exit_code_tracks_verdict(tmp_path):

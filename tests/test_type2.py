@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -242,6 +243,33 @@ def test_pair_weight_fast_path_agrees():
         v = tuple(rng.randrange(4) for _ in range(3))
         w, _ = grid_max_weight(matrix_array(u, v, inner))
         assert pair_weight(u, v, inner) == w
+    # independent oracle: the LIS of the serialized grid with zeros deleted
+    words = list(itertools.product(range(4), repeat=2))
+    for u in words:
+        for v in words:
+            sigma = build_matrix(u, v, inner).sigma
+            nonzero = tuple(s for s in sigma.symbols if s)
+            want = lis_patience(Sequence(nonzero, sigma.alphabet_bound))[0]
+            assert pair_weight(u, v, inner) == want
+
+
+def test_grid_instance_rejects_tampering():
+    inst = build_matrix((1, 3), (0, 2), full_cube_2())
+    m_prime = [list(row) for row in inst.m_prime]
+    m_prime[8][0] += 1  # a 1-cell of the first filler row
+    m_prime[17][15] = 0  # a later broken cell; the first one is named
+    with pytest.raises(GridError, match=r"valuation broken at \(9, 1\)"):
+        dataclasses.replace(inst, m_prime=tuple(map(tuple, m_prime)))
+    m_prime = [list(row) for row in inst.m_prime]
+    m_prime[0][0] = 1  # a 0-cell given a value
+    with pytest.raises(GridError, match=r"valuation broken at \(1, 1\)"):
+        dataclasses.replace(inst, m_prime=tuple(map(tuple, m_prime)))
+    swapped = list(inst.sigma.symbols)
+    swapped[8], swapped[9] = swapped[9], swapped[8]
+    with pytest.raises(GridError, match="column-major readout"):
+        dataclasses.replace(
+            inst, sigma=Sequence(tuple(swapped), inst.sigma.alphabet_bound)
+        )
 
 
 def test_matrix_chain_diagonal():
