@@ -68,8 +68,16 @@ from .type2 import (
 __all__ = ["main", "run_suite", "SUITE_NAMES"]
 
 
-# the integer flags `gen`, `verify` and `bp-check` share
+# the integer flags `gen` and `verify` share
 _SHARED_FLAGS = ("n", "m", "p", "q", "k", "R", "count", "budget", "seed")
+
+# the flags each `gen` kind takes besides --seed, with their defaults
+_GEN_DEFAULTS = {
+    "type1": {"n": 64},
+    "type2": {"p": 2, "q": 2},
+    "disj": {"m": 4, "k": 2},
+    "family": {"n": 10, "m": 1000, "k": 2, "count": 8, "budget": 100_000},
+}
 
 
 def _row(check: str, passed: bool, count: int, violations: int, **detail) -> dict:
@@ -418,29 +426,30 @@ def cmd_lis(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    taken = {"seed": 0, **_GEN_DEFAULTS[args.kind]}
+    flags = vars(args)
+    extra = [f for f in _SHARED_FLAGS if flags[f] is not None and f not in taken]
+    if extra:
+        raise ValueError(f"gen {args.kind} does not take {extra}; allowed: {sorted(taken)}")
+    opt = {f: default if flags[f] is None else flags[f] for f, default in taken.items()}
+    seed = opt["seed"]
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    seed = 0 if args.seed is None else args.seed
     written: list[str] = []
 
-    def emit_sequence(name: str, seq: Sequence) -> None:
+    def save(name: str, write, value) -> None:
         path = os.path.join(out_dir, name)
-        write_sequence_file(path, seq)
-        written.append(path)
-
-    def emit_json(name: str, doc: dict) -> None:
-        path = os.path.join(out_dir, name)
-        _write_json(path, doc)
+        write(path, value)
         written.append(path)
 
     if args.kind == "type1":
-        n = args.n or 64
+        n = opt["n"]
         code = gap_code(n, seed)
         u, v = sample_distinct_pair(code, seed)
         inst = build_z(u, v)
         stem = f"type1_n{n}_seed{seed}"
-        emit_sequence(f"{stem}_zuv.txt", inst.z_uv)
-        emit_sequence(f"{stem}_zvu.txt", inst.z_vu)
+        save(f"{stem}_zuv.txt", write_sequence_file, inst.z_uv)
+        save(f"{stem}_zvu.txt", write_sequence_file, inst.z_vu)
         sidecar = instance_sidecar(inst)
         sidecar.update(
             {
@@ -451,20 +460,19 @@ def cmd_gen(args) -> int:
                          "distance": code.verified_distance},
             }
         )
-        emit_json(f"{stem}.json", sidecar)
+        save(f"{stem}.json", _write_json, sidecar)
     elif args.kind == "type2":
-        p, q = args.p or 2, args.q or 2
+        p, q = opt["p"], opt["q"]
         inner, outer = grid_codes(p, q, seed)
         u, v = sample_distinct_pair(outer, seed)
         inst = build_matrix(u, v, inner)
         stem = f"type2_p{p}_q{q}_seed{seed}"
-        matrix_path = os.path.join(out_dir, f"{stem}_matrix.txt")
-        write_matrix_file(matrix_path, inst.matrix)
-        written.append(matrix_path)
-        emit_sequence(f"{stem}_sigma.txt", inst.sigma)
+        save(f"{stem}_matrix.txt", write_matrix_file, inst.matrix)
+        save(f"{stem}_sigma.txt", write_sequence_file, inst.sigma)
         equal_ub, unequal_lb = type2_bounds(p, q)
-        emit_json(
+        save(
             f"{stem}.json",
+            _write_json,
             {
                 "p": p, "q": q, "seed": seed,
                 "u": list(u), "v": list(v),
@@ -475,7 +483,7 @@ def cmd_gen(args) -> int:
             },
         )
     elif args.kind == "disj":
-        m, k = args.m or 4, args.k or 2
+        m, k = opt["m"], opt["k"]
         if k > m:
             raise ValueError(f"support size {k} exceeds universe {m}")
         rng = random.Random(seed)
@@ -485,10 +493,11 @@ def cmd_gen(args) -> int:
         b_bits = tuple(1 if i in b_support else 0 for i in range(1, m + 1))
         seq = disj_gadget(a_bits, b_bits)
         stem = f"disj_m{m}_k{k}_seed{seed}"
-        emit_sequence(f"{stem}.txt", seq)
+        save(f"{stem}.txt", write_sequence_file, seq)
         disjoint = not set(a_support) & set(b_support)
-        emit_json(
+        save(
             f"{stem}.json",
+            _write_json,
             {
                 "m": m, "k": k, "seed": seed,
                 "a": a_support, "b": b_support,
@@ -498,13 +507,12 @@ def cmd_gen(args) -> int:
             },
         )
     else:  # family
-        n, m, k = args.n or 10, args.m or 1000, args.k or 2
-        target = args.count or 8
-        budget = args.budget or 100_000
-        family = search_separated_family(n, m, k, target, seed, budget)
+        n, m, k, budget = opt["n"], opt["m"], opt["k"], opt["budget"]
+        family = search_separated_family(n, m, k, opt["count"], seed, budget)
         stem = f"family_n{n}_m{m}_k{k}_seed{seed}"
-        emit_json(
+        save(
             f"{stem}.json",
+            _write_json,
             {
                 "n": n, "m": m, "k": k, "seed": seed, "budget": budget,
                 "size": len(family),
@@ -563,7 +571,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser(
         "gen", parents=[shared], help="materialize a gadget instance plus sidecar"
     )
-    p_gen.add_argument("kind", choices=("type1", "type2", "disj", "family"))
+    p_gen.add_argument("kind", choices=tuple(_GEN_DEFAULTS))
     p_gen.set_defaults(func=cmd_gen)
 
     p_verify = sub.add_parser(
@@ -573,10 +581,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--format", choices=("json", "csv"), default="json")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_bp = sub.add_parser(
-        "bp-check", parents=[shared], help="validate a branching-program file"
-    )
+    p_bp = sub.add_parser("bp-check", help="validate a branching-program file")
     p_bp.add_argument("file")
+    for flag in ("R", "n", "m"):
+        p_bp.add_argument(f"--{flag}", type=int, default=None)
     p_bp.set_defaults(func=cmd_bp_check)
     return parser
 

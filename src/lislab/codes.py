@@ -28,6 +28,7 @@ __all__ = [
     "rs_sample_codewords",
     "sample_codeword",
     "sample_distinct_pair",
+    "distinct_pair_indices",
     "smallest_prime_at_least",
     "format_code",
     "parse_code",
@@ -98,9 +99,14 @@ def min_distance(code: BlockCode) -> int:
         d = int((arr[i + 1 :] != arr[i]).sum(axis=1).min())
         if d < best:
             best = d
-            if best == 0:  # pragma: no cover - blocked by the distinctness invariant
-                break
     return best
+
+
+def distinct_pair_indices(rng: random.Random, size: int) -> tuple[int, int]:
+    """Uniform ordered pair of distinct indices in [0, size), drawn from rng."""
+    i = rng.randrange(size)
+    j = rng.randrange(size - 1)
+    return i, j + 1 if j >= i else j
 
 
 def sampled_distance_floor(code: BlockCode, pairs: int = SAMPLED_PAIRS, seed: int = 0) -> int:
@@ -110,10 +116,7 @@ def sampled_distance_floor(code: BlockCode, pairs: int = SAMPLED_PAIRS, seed: in
     rng = random.Random(seed)
     best = code.length
     for _ in range(pairs):
-        i = rng.randrange(code.size)
-        j = rng.randrange(code.size - 1)
-        if j >= i:
-            j += 1
+        i, j = distinct_pair_indices(rng, code.size)
         best = min(best, hamming(code.codewords[i], code.codewords[j]))
     return best
 
@@ -204,13 +207,17 @@ def _poly_eval(coeffs: tuple[int, ...], point: int, prime: int) -> int:
     return acc
 
 
-def gen_outer(
-    q: int,
-    inner: BlockCode,
-    distance_target: int | None = None,
-    seed: int = 0,
-    max_size: int = 200_000,
-) -> BlockCode:
+def _rs_codewords(messages, q: int, prime: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted Reed-Solomon codewords: each message polynomial at points 0..q-1."""
+    return tuple(
+        sorted(
+            tuple(_poly_eval(msg, point, prime) for point in range(q))
+            for msg in messages
+        )
+    )
+
+
+def gen_outer(q: int, inner: BlockCode, seed: int = 0, max_size: int = 200_000) -> BlockCode:
     """Length-q code over inner-codeword indices with distance >= ceil(q/2).
 
     Strategy: Reed-Solomon of dimension floor(q/2) over the smallest prime
@@ -222,8 +229,7 @@ def gen_outer(
     """
     if q < 1:
         raise CodeError(f"outer length must be >= 1, got {q}")
-    if distance_target is None:
-        distance_target = math.ceil(q / 2)
+    distance_target = math.ceil(q / 2)
     if inner.size < q:
         raise CodeError(
             f"inner code has {inner.size} codewords but q={q} field symbols "
@@ -238,12 +244,7 @@ def gen_outer(
                 f"enumerating {prime}^{dim} = {size} codewords exceeds max_size="
                 f"{max_size}; use rs_sample_codewords for this scale"
             )
-        codewords = tuple(
-            sorted(
-                tuple(_poly_eval(msg, point, prime) for point in range(q))
-                for msg in itertools.product(range(prime), repeat=dim)
-            )
-        )
+        codewords = _rs_codewords(itertools.product(range(prime), repeat=dim), q, prime)
         meta = {
             "construction": "reed-solomon",
             "field": prime,
@@ -268,8 +269,6 @@ def gen_outer(
                 raise CodeError(
                     f"sampled distance {floor} below target {distance_target}"
                 )
-        if code.size < prime**dim:  # pragma: no cover - defensive
-            raise CodeError("Reed-Solomon enumeration lost codewords")
         return code
     if q <= EXHAUSTIVE_OUTER_LIMIT:
         kept: list[tuple[int, ...]] = []
@@ -317,12 +316,7 @@ def rs_sample_codewords(
     messages: set[tuple[int, ...]] = set()
     while len(messages) < count:
         messages.add(tuple(rng.randrange(prime) for _ in range(dim)))
-    return tuple(
-        sorted(
-            tuple(_poly_eval(msg, point, prime) for point in range(q))
-            for msg in messages
-        )
-    )
+    return _rs_codewords(messages, q, prime)
 
 
 def sample_codeword(code: BlockCode, seed: int = 0) -> tuple[int, ...]:
@@ -337,11 +331,7 @@ def sample_distinct_pair(
     """Seeded uniform draw of an ordered pair of distinct codewords."""
     if code.size < 2:
         raise CodeError("need at least two codewords to sample a distinct pair")
-    rng = random.Random(seed)
-    i = rng.randrange(code.size)
-    j = rng.randrange(code.size - 1)
-    if j >= i:
-        j += 1
+    i, j = distinct_pair_indices(random.Random(seed), code.size)
     return code.codewords[i], code.codewords[j]
 
 
@@ -360,7 +350,10 @@ def parse_code(text: str) -> BlockCode:
         alphabet, length, size, distance = (int(t) for t in lines[0].split())
     except ValueError as exc:
         raise CodeError(f"bad code header {lines[0]!r}") from exc
-    words = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:])
+    try:
+        words = tuple(tuple(int(t) for t in ln.split()) for ln in lines[1:])
+    except ValueError as exc:
+        raise CodeError(f"bad codeword token: {exc}") from exc
     if len(words) != size:
         raise CodeError(f"header promises {size} codewords, found {len(words)}")
     return BlockCode(alphabet, length, words, distance, meta={"distance_check": "declared"})

@@ -301,7 +301,7 @@ def es_witness(x: Sequence, r: int, s: int) -> MonotoneWitness:
     )
 
 
-def parse_sequence(text: str, alphabet_bound: int | None = None) -> Sequence:
+def parse_sequence(text: str) -> Sequence:
     """Parse whitespace-separated decimal symbols; '#' starts a comment."""
     values: list[int] = []
     for line in text.splitlines():
@@ -311,16 +311,16 @@ def parse_sequence(text: str, alphabet_bound: int | None = None) -> Sequence:
                 values.append(int(token))
             except ValueError as exc:
                 raise SequenceError(f"bad symbol token {token!r}") from exc
-    return Sequence.of(values, alphabet_bound)
+    return Sequence.of(values)
 
 
 def format_sequence(x: Sequence) -> str:
     return " ".join(str(s) for s in x.symbols) + "\n"
 
 
-def read_sequence_file(path: str, alphabet_bound: int | None = None) -> Sequence:
+def read_sequence_file(path: str) -> Sequence:
     with open(path, "r", encoding="ascii") as handle:
-        return parse_sequence(handle.read(), alphabet_bound)
+        return parse_sequence(handle.read())
 
 
 def write_sequence_file(path: str, x: Sequence) -> None:

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .codes import BlockCode, rs_sample_codewords
+from .codes import BlockCode, distinct_pair_indices, rs_sample_codewords
 from .core import lis_patience
 from .type1 import build_z, gap_code, type1_gap
 from .type2 import grid_inner_code, pair_weight, type2_bounds
@@ -122,14 +122,7 @@ def check_fooling_set(
     else:
         mode = f"sampled:{sample_pairs}"
         rng = random.Random(seed)
-
-        def sampled():
-            for _ in range(sample_pairs):
-                i = rng.randrange(t)
-                j = rng.randrange(t - 1)
-                yield (i, j if j < i else j + 1)
-
-        crossings = sampled()
+        crossings = (distinct_pair_indices(rng, t) for _ in range(sample_pairs))
     for i, j in crossings:
         one = f(members[i][0], members[j][1])
         two = f(members[j][0], members[i][1])

@@ -356,6 +356,14 @@ def _symbol_bits(alphabet_bound: int) -> int:
     return max(1, (alphabet_bound + 1 - 1).bit_length())
 
 
+def _pack(values: list[int], width: int, acc: int = 0, bits: int = 0) -> bytes:
+    """Big-endian bytes of the `bits`-bit prefix acc, then each value in `width` bits."""
+    for value in values:
+        acc = (acc << width) | value
+    bits += width * len(values)
+    return acc.to_bytes((bits + 7) // 8 or 1, "big")
+
+
 class StoreAll(StreamingAlgorithm):
     """Baseline that stores the whole input: a seen-bitmap plus one packed
     symbol per seen position, answering with the patience oracle."""
@@ -373,16 +381,9 @@ class StoreAll(StreamingAlgorithm):
         return lis_patience(x)[0]
 
     def state_bytes(self) -> bytes:
-        width = _symbol_bits(self.bound)
-        acc = 0
-        bits = 0
-        for i in range(1, self.n + 1):
-            acc = (acc << 1) | (1 if i in self.seen else 0)
-            bits += 1
-        for i in sorted(self.seen):
-            acc = (acc << width) | self.seen[i]
-            bits += width
-        return acc.to_bytes((bits + 7) // 8 or 1, "big")
+        bitmap = sum(1 << (self.n - i) for i in self.seen)
+        symbols = [self.seen[i] for i in sorted(self.seen)]
+        return _pack(symbols, _symbol_bits(self.bound), bitmap, self.n)
 
 
 class NaturalOrderPatience(StreamingAlgorithm):
@@ -408,13 +409,7 @@ class NaturalOrderPatience(StreamingAlgorithm):
         return self.result
 
     def state_bytes(self) -> bytes:
-        width = _symbol_bits(self.bound)
-        acc = 0
-        bits = 0
-        for top in self.piles:
-            acc = (acc << width) | top
-            bits += width
-        return acc.to_bytes((bits + 7) // 8 or 1, "big")
+        return _pack(self.piles, _symbol_bits(self.bound))
 
 
 def _meter(alg: StreamingAlgorithm) -> int:

@@ -56,8 +56,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_INPUT_BUDGET = 10**6
-DEFAULT_SCALE_MARGIN = 100
+SCALE_MARGIN = 100
 VERIFY_PAIR_BUDGET = 5_000_000
+TABLE_LEAF_BUDGET = 100_000
 
 
 class ProgramError(ValueError):
@@ -217,16 +218,11 @@ def _require_increasing(seq: Sequence, label: str) -> None:
         raise ProgramError(f"{label} must be strictly increasing: {seq.symbols}")
 
 
-def build_distinguisher(
-    x: Sequence,
-    y: Sequence,
-    s: IndexSet,
-    scale_margin: int = DEFAULT_SCALE_MARGIN,
-) -> tuple[Sequence, Sequence]:
+def build_distinguisher(x: Sequence, y: Sequence, s: IndexSet) -> tuple[Sequence, Sequence]:
     """Pad x and y outside s with a common filling so their LIS differ by 1.
 
     Preconditions: x, y strictly increasing over the same alphabet [m] with
-    m >= scale_margin * n, |s| = n/5, and x, y disagreeing somewhere on s.
+    m >= SCALE_MARGIN * n, |s| = n/5, and x, y disagreeing somewhere on s.
     The outputs agree with x resp. y on s, agree with each other off s, use
     symbols in [0, m+1], and are re-checked with the quadratic oracle; a
     failed check raises with both sequences attached.
@@ -243,9 +239,9 @@ def build_distinguisher(
     if x.alphabet_bound != y.alphabet_bound:
         raise ProgramError("the two sequences must share one alphabet")
     m = x.alphabet_bound
-    if m < scale_margin * n:
+    if m < SCALE_MARGIN * n:
         raise ProgramError(
-            f"alphabet {m} too small: need at least {scale_margin} * n = {scale_margin * n}"
+            f"alphabet {m} too small: need at least {SCALE_MARGIN} * n = {SCALE_MARGIN * n}"
         )
     if 5 * len(s) != n:
         raise ProgramError(f"restriction size {len(s)} must be n/5 = {n}/5")
@@ -382,9 +378,7 @@ def search_separated_family(
     )
 
 
-def verify_separated_family(
-    sequences, k: int, budget: int = VERIFY_PAIR_BUDGET
-) -> bool:
+def verify_separated_family(sequences, k: int) -> bool:
     """Literal check: every k-subset of positions tells every pair apart."""
     seqs = tuple(
         s if isinstance(s, Sequence) else Sequence.of(s) for s in sequences
@@ -398,8 +392,8 @@ def verify_separated_family(
         raise ProgramError(f"restriction size {k} outside [1, {n}]")
     pairs = len(seqs) * (len(seqs) - 1) // 2
     cost = math.comb(n, k) * pairs
-    if cost > budget:
-        raise BudgetError(f"{cost} subset-pair checks exceed the budget {budget}")
+    if cost > VERIFY_PAIR_BUDGET:
+        raise BudgetError(f"{cost} subset-pair checks exceed the budget {VERIFY_PAIR_BUDGET}")
     for subset in itertools.combinations(range(n), k):
         for a, b in itertools.combinations(seqs, 2):
             if all(a.symbols[i] == b.symbols[i] for i in subset):
@@ -452,12 +446,12 @@ def streaming_lis_program(n: int, m: int) -> BranchingProgram:
     return BranchingProgram(m, n, tuple(levels))
 
 
-def table_program(n: int, m: int, budget: int = 100_000) -> BranchingProgram:
+def table_program(n: int, m: int) -> BranchingProgram:
     """Complete m-ary query tree on positions 1..n memorizing lis per leaf."""
     if n < 1 or m < 1:
         raise ProgramError(f"need n, m >= 1, got n={n}, m={m}")
-    if m**n > budget:
-        raise BudgetError(f"{m}^{n} leaves exceed the budget {budget}")
+    if m**n > TABLE_LEAF_BUDGET:
+        raise BudgetError(f"{m}^{n} leaves exceed the budget {TABLE_LEAF_BUDGET}")
     levels: list[tuple[BPNode, ...]] = []
     for l in range(n):
         width = m**l
@@ -492,6 +486,19 @@ def format_program(bp: BranchingProgram) -> str:
     return json.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
+def _json_int(value) -> int:
+    # bool is an int subclass, and a float or a digit string is not an integer
+    if type(value) is not int:
+        raise ProgramError(f"expected a JSON integer, got {value!r}")
+    return value
+
+
+def _edge_symbol(key: str) -> int:
+    if not (key.isascii() and key.isdigit()):
+        raise ProgramError(f"edge key {key!r} is not a decimal symbol")
+    return int(key)
+
+
 def parse_program(text: str) -> BranchingProgram:
     try:
         doc = json.loads(text)
@@ -503,14 +510,15 @@ def parse_program(text: str) -> BranchingProgram:
             nodes = []
             for raw in level:
                 if "output" in raw:
-                    nodes.append(BPNode(None, None, int(raw["output"])))
+                    nodes.append(BPNode(None, None, _json_int(raw["output"])))
                 else:
                     edges = tuple(
-                        sorted((int(s), int(t)) for s, t in raw["edges"].items())
+                        sorted((_edge_symbol(s), _json_int(t)) for s, t in raw["edges"].items())
                     )
-                    nodes.append(BPNode(int(raw["query"]), edges, None))
+                    nodes.append(BPNode(_json_int(raw["query"]), edges, None))
             levels.append(tuple(nodes))
-        return BranchingProgram(int(doc["r_way"]), int(doc["n_inputs"]), tuple(levels))
+        r_way, n_inputs = _json_int(doc["r_way"]), _json_int(doc["n_inputs"])
+        return BranchingProgram(r_way, n_inputs, tuple(levels))
     except (KeyError, TypeError, AttributeError) as exc:
         raise ProgramError(f"program document is malformed: {exc}") from exc
 

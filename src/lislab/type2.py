@@ -390,6 +390,8 @@ def parse_matrix(text: str) -> tuple[tuple[int, ...], ...]:
         rows, cols = (int(t) for t in lines[0].split())
     except ValueError as exc:
         raise GridError(f"bad matrix header {lines[0]!r}") from exc
+    if rows < 1 or cols < 1:
+        raise GridError(f"matrix dimensions must be positive, got {rows} x {cols}")
     if len(lines) != rows + 1:
         raise GridError(f"header promises {rows} rows, found {len(lines) - 1}")
     out: list[tuple[int, ...]] = []

@@ -92,6 +92,30 @@ def test_gen_disj_rejects_oversized_support(tmp_path, capsys):
     assert "support" in capsys.readouterr().err
 
 
+def test_gen_rejects_flags_the_kind_does_not_take(tmp_path, capsys):
+    for argv in (
+        ["gen", "disj", "--p", "9", "--R", "3"],
+        ["gen", "type1", "--m", "3"],
+        ["gen", "type2", "--n", "4"],
+        ["gen", "family", "--q", "2"],
+    ):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert "does not take" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_gen_explicit_zero_is_not_the_default(tmp_path, capsys):
+    for argv in (
+        ["gen", "type1", "--n", "0"],
+        ["gen", "family", "--count", "0"],
+        ["gen", "family", "--budget", "0"],
+        ["gen", "type2", "--p", "0"],
+    ):
+        assert main(argv + ["--out", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_family_artifact(tmp_path):
     files = _gen(tmp_path, "a", ["gen", "family", "--seed", "1"])
     doc = json.loads(files["family_n10_m1000_k2_seed1.json"])
@@ -182,6 +206,17 @@ def test_bp_check_alphabet_mismatch(tmp_path, capsys):
     write_program_file(str(path), streaming_lis_program(3, 3))
     assert main(["bp-check", str(path), "--R", "5"]) == 1
     assert "alphabet-mismatch" in capsys.readouterr().out
+
+
+def test_bp_check_takes_only_R_n_m(tmp_path, capsys):
+    path = tmp_path / "prog.json"
+    write_program_file(str(path), streaming_lis_program(3, 3))
+    for flags in (["--seed", "5"], ["--p", "3"], ["--out", str(tmp_path / "x")]):
+        with pytest.raises(SystemExit) as exc:
+            main(["bp-check", str(path), *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_bp_check_rejects_malformed_file(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ import pytest
 from lislab.codes import (
     BlockCode,
     CodeError,
+    distinct_pair_indices,
     gen_inner_binary,
     gen_outer,
     hamming,
@@ -208,6 +210,32 @@ def test_sampling_helpers_are_seeded():
     assert floor >= min_distance(inner)
 
 
+def test_distinct_pair_indices_frozen_and_never_equal():
+    rng = random.Random(2023)
+    assert [distinct_pair_indices(rng, 7) for _ in range(10)] == [
+        (3, 6), (3, 4), (2, 5), (4, 2), (5, 0), (6, 0), (5, 2), (6, 5), (4, 6), (4, 2),
+    ]
+    for size in (2, 3, 10):
+        rng = random.Random(size)
+        draws = [distinct_pair_indices(rng, size) for _ in range(2000)]
+        assert all(i != j and 0 <= i < size and 0 <= j < size for i, j in draws)
+        assert len(set(draws)) == size * (size - 1)  # every ordered pair occurs
+
+
+def test_reed_solomon_words_are_polynomial_evaluations():
+    inner = gen_inner_binary(8, 2, min_log_size=4, seed=3)
+    for q in (2, 3, 4, 5, 7):
+        prime, dim = smallest_prime_at_least(q), max(1, q // 2)
+        direct = sorted(
+            tuple(sum(c * x**e for e, c in enumerate(msg)) % prime for x in range(q))
+            for msg in itertools.product(range(prime), repeat=dim)
+        )
+        assert list(gen_outer(q, inner).codewords) == direct
+        sample = rs_sample_codewords(q, inner, count=min(6, len(direct)), seed=q)
+        assert list(sample) == sorted(set(sample))
+        assert set(sample) <= set(direct)
+
+
 def test_code_file_round_trip(tmp_path):
     code = gen_inner_binary(6, 2, min_log_size=2, seed=11)
     path = tmp_path / "inner.code"
@@ -226,6 +254,9 @@ def test_parse_code_rejects_bad_input():
         parse_code("2 2 2 1\n0 0\n")  # promises two words, carries one
     with pytest.raises(CodeError):
         parse_code("x y z w\n")
+    for token in ("x", "1.0", "0x1"):
+        with pytest.raises(CodeError, match="codeword token"):
+            parse_code(f"2 2 1 1\n0 {token}\n")
 
 
 def test_smallest_prime_at_least():

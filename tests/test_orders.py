@@ -242,6 +242,35 @@ def test_serialization_failure_is_reported():
         run_stream(Broken(), Sequence.of([1, 2]), identity_order(2))
 
 
+def _bitwise_pack(fields: list[tuple[int, int]]) -> bytes:
+    # reference packer: emit each (value, width) field one bit at a time, MSB first
+    bits = [(value >> (width - 1 - t)) & 1 for value, width in fields for t in range(width)]
+    acc = 0
+    for bit in bits:
+        acc = 2 * acc + bit
+    return acc.to_bytes((len(bits) + 7) // 8 or 1, "big")
+
+
+def test_state_bytes_match_a_bitwise_reference():
+    rng = random.Random(61)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        bound = rng.choice((1, 2, 3, 7, 8, 255, 1000))
+        width = max(1, bound.bit_length())
+        store, piles = StoreAll(), NaturalOrderPatience()
+        store.init(n, bound, 1)
+        piles.init(n, bound, 1)
+        seen = {}
+        for i in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
+            seen[i] = rng.randint(0, bound)
+            store.process(i, seen[i])
+            piles.process(i, seen[i])
+        bitmap = [(1 if i in seen else 0, 1) for i in range(1, n + 1)]
+        symbols = [(seen[i], width) for i in sorted(seen)]
+        assert store.state_bytes() == _bitwise_pack(bitmap + symbols)
+        assert piles.state_bytes() == _bitwise_pack([(t, width) for t in piles.piles])
+
+
 def test_order_file_round_trip(tmp_path):
     order = random_order(9, 21)
     path = tmp_path / "stream.perm"

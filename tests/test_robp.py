@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -278,3 +279,25 @@ def test_program_file_round_trip(tmp_path):
         parse_program("not json")
     with pytest.raises(ProgramError):
         parse_program('{"levels": [[{"query": 1}]]}')
+
+
+def test_parse_program_accepts_only_json_integers():
+    text = format_program(streaming_lis_program(2, 2))
+    assert parse_program(text) == streaming_lis_program(2, 2)
+    changes = [
+        (None, "r_way", True),
+        (None, "n_inputs", "2"),
+        (None, "n_inputs", 2.7),
+        (None, "n_inputs", 2.0),
+        ((0, 0), "query", 1.0),
+        ((0, 0), "edges", {"1": 0, "2.0": 1}),
+        ((0, 0), "edges", {"1": 0, " 2": 1}),
+        ((0, 0), "edges", {"1": 0, "2": "1"}),
+        ((-1, 0), "output", False),
+    ]
+    for where, key, value in changes:
+        doc = json.loads(text)
+        node = doc if where is None else doc["levels"][where[0]][where[1]]
+        node[key] = value
+        with pytest.raises(ProgramError, match="JSON integer|decimal symbol"):
+            parse_program(json.dumps(doc))

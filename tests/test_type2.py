@@ -349,7 +349,7 @@ def test_matrix_file_round_trip(tmp_path):
     assert read_matrix_file(str(target)) == REFERENCE_MATRIX
     commented = "# reference\n2 2\n01\n10\n"
     assert parse_matrix(commented) == ((0, 1), (1, 0))
-    for bad in ("", "2\n01\n10\n", "2 2\n01\n", "2 2\n01\n1x\n", "2 2\n011\n100\n"):
+    for bad in ("", "2\n01\n10\n", "2 2\n01\n", "2 2\n01\n1x\n", "2 2\n011\n100\n", "0 5\n"):
         with pytest.raises(GridError):
             parse_matrix(bad)
 
