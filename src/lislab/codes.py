@@ -3,9 +3,9 @@
 Two generators cover the gadget recipes: random linear binary codes for the
 inner layer and Reed-Solomon over a prime field for the outer layer, whose
 symbols are embedded injectively into the inner code. Distance claims are
-verified by the pairwise brute-force oracle, exhaustively where the code is
-small and by seeded pair sampling where it is not; the mode used is recorded
-in the code's metadata.
+verified by the pairwise brute-force oracle (blocked one-hot matrix
+products), exhaustively where the code is small and by seeded pair sampling
+where it is not; the mode used is recorded in the code's metadata.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
 
 EXHAUSTIVE_OUTER_LIMIT = 6
 SAMPLED_PAIRS = 1000
+_CHUNK = 256  # rows per array pass: min_distance blocks, Horner and tuple chunks
 
 
 class CodeError(ValueError):
@@ -67,15 +68,17 @@ class BlockCode:
             raise CodeError(
                 f"verified distance {self.verified_distance} outside [1, {self.length}]"
             )
-        seen = set()
+        # lengths first, so that min() and max() never see an empty word
         for word in self.codewords:
             if len(word) != self.length:
                 raise CodeError(f"codeword {word} is not length {self.length}")
-            if any(not 0 <= s < self.alphabet_size for s in word):
-                raise CodeError(f"codeword {word} has symbols outside the alphabet")
-            if word in seen:
-                raise CodeError(f"duplicate codeword {word}")
-            seen.add(word)
+        if any(not 0 <= s < self.alphabet_size for s in set().union(*self.codewords)):
+            word = next(w for w in self.codewords if min(w) < 0 or max(w) >= self.alphabet_size)
+            raise CodeError(f"codeword {word} has symbols outside the alphabet")
+        # equal words sit side by side once sorted; timsort is linear on sorted input
+        for a, b in itertools.pairwise(sorted(self.codewords)):
+            if a == b:
+                raise CodeError(f"duplicate codeword {a}")
 
     @property
     def size(self) -> int:
@@ -90,16 +93,22 @@ def hamming(a: tuple[int, ...], b: tuple[int, ...]) -> int:
 
 
 def min_distance(code: BlockCode) -> int:
-    """Exact minimum pairwise Hamming distance, brute force over all pairs."""
+    """Exact minimum pairwise Hamming distance, exhaustive over all pairs and
+    blind to linearity. Agreements are dot products of float32 one-hot rows
+    over (position, symbol), exact for length < 2**24, in blocks of rows."""
     if code.size < 2:
         raise CodeError("minimum distance needs at least two codewords")
-    arr = np.asarray(code.codewords, dtype=np.int64)
-    best = code.length
-    for i in range(code.size - 1):
-        d = int((arr[i + 1 :] != arr[i]).sum(axis=1).min())
-        if d < best:
-            best = d
-    return best
+    words = np.asarray(code.codewords, dtype=np.intp)
+    symbols = int(words.max()) + 1  # one-hot columns: position * symbols + symbol
+    onehot = np.zeros((code.size, code.length * symbols), dtype=np.float32)
+    np.put_along_axis(onehot, words + np.arange(code.length) * symbols, 1, axis=1)
+    most = 0
+    for s in range(0, code.size - 1, _CHUNK):
+        # entry (r, c) pairs words s + r and s + 1 + c; c < r was seen before
+        agree = onehot[s : s + _CHUNK] @ onehot[s + 1 :].T
+        agree[np.tril_indices(len(agree), -1, agree.shape[1])] = 0
+        most = max(most, int(agree.max()))
+    return code.length - most
 
 
 def distinct_pair_indices(rng: random.Random, size: int) -> tuple[int, int]:
@@ -138,8 +147,9 @@ def gen_inner_binary(
     """Random linear binary code of the given length and minimum distance.
 
     Draws random generator matrices until all 2^min_log_size codewords are
-    distinct with pairwise distance >= `distance`, then re-verifies with the
-    brute-force distance oracle. min_log_size defaults to ceil(length/8),
+    distinct with pairwise distance >= `distance`, then re-verifies with
+    min_distance, exhaustive over all pairs by blocked one-hot matrix
+    products and blind to linearity. min_log_size defaults to ceil(length/8),
     a rate that keeps the desk-scale recipes inside the Gilbert-Varshamov
     region. Identical parameters and seed reproduce the identical code.
     """
@@ -162,12 +172,11 @@ def gen_inner_binary(
         # linear code: minimum distance equals minimum nonzero weight
         if any(w.bit_count() < distance for w in words[1:]):
             continue
-        codewords = tuple(
-            sorted(
-                tuple((w >> (length - 1 - j)) & 1 for j in range(length))
-                for w in words
-            )
-        )
+        # sorted ints are sorted MSB-first bit tuples; unpack, drop the pad bits
+        width = (length + 7) // 8
+        packed = b"".join(w.to_bytes(width, "big") for w in sorted(words))
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8)).reshape(len(words), -1)
+        codewords = _as_tuples(bits[:, -length:])
         code = BlockCode(
             alphabet_size=2,
             length=length,
@@ -200,21 +209,26 @@ def smallest_prime_at_least(n: int) -> int:
         candidate += 1
 
 
-def _poly_eval(coeffs: tuple[int, ...], point: int, prime: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * point + c) % prime
-    return acc
+def _as_tuples(words: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Rows as tuples of ints, chunk by chunk: no full-size list of lists."""
+    rows = (map(tuple, words[s : s + _CHUNK].tolist()) for s in range(0, len(words), _CHUNK))
+    return tuple(itertools.chain.from_iterable(rows))
 
 
-def _rs_codewords(messages, q: int, prime: int) -> tuple[tuple[int, ...], ...]:
-    """Sorted Reed-Solomon codewords: each message polynomial at points 0..q-1."""
-    return tuple(
-        sorted(
-            tuple(_poly_eval(msg, point, prime) for point in range(q))
-            for msg in messages
-        )
-    )
+def _rs_codewords(messages: np.ndarray, q: int, prime: int) -> tuple[tuple[int, ...], ...]:
+    """Sorted Reed-Solomon codewords: message rows (coefficients of degree 0 up)
+    at points 0..q-1 by chunked Horner; lexsort on reversed columns = tuple order."""
+    points = np.arange(q, dtype=np.int64)
+    words = np.empty((len(messages), q), dtype=np.min_scalar_type(prime - 1))
+    for s in range(0, len(messages), _CHUNK):
+        chunk = messages[s : s + _CHUNK]
+        acc = np.zeros((len(chunk), q), dtype=np.int64)
+        for coeff in chunk.T[::-1]:
+            acc *= points
+            acc += coeff[:, None]
+            acc %= prime
+        words[s : s + _CHUNK] = acc
+    return _as_tuples(words[np.lexsort(words.T[::-1])])
 
 
 def gen_outer(q: int, inner: BlockCode, seed: int = 0, max_size: int = 200_000) -> BlockCode:
@@ -223,9 +237,10 @@ def gen_outer(q: int, inner: BlockCode, seed: int = 0, max_size: int = 200_000) 
     Strategy: Reed-Solomon of dimension floor(q/2) over the smallest prime
     field with at least q elements, field symbols mapped injectively onto
     inner-codeword indices (which requires the field to fit inside the inner
-    code). When no usable prime fits, a greedy lexicographic search covers
-    q <= 6. Distance is verified exhaustively for q <= 6 and by seeded pair
-    sampling above that.
+    code). All prime^dim messages go through an array Horner rule, in
+    chunks. When no usable prime fits, a greedy lexicographic search covers
+    q <= 6. Distance is verified exhaustively over all pairs (min_distance)
+    for q <= 6 and by seeded pair sampling above that.
     """
     if q < 1:
         raise CodeError(f"outer length must be >= 1, got {q}")
@@ -244,7 +259,7 @@ def gen_outer(q: int, inner: BlockCode, seed: int = 0, max_size: int = 200_000) 
                 f"enumerating {prime}^{dim} = {size} codewords exceeds max_size="
                 f"{max_size}; use rs_sample_codewords for this scale"
             )
-        codewords = _rs_codewords(itertools.product(range(prime), repeat=dim), q, prime)
+        codewords = _rs_codewords(np.indices((prime,) * dim).reshape(dim, -1).T, q, prime)
         meta = {
             "construction": "reed-solomon",
             "field": prime,
@@ -304,6 +319,8 @@ def rs_sample_codewords(
     dimension choices as gen_outer; distinct messages give codewords at
     pairwise distance >= q - floor(q/2) + 1 by construction.
     """
+    if q < 1:
+        raise CodeError(f"outer length must be >= 1, got {q}")
     prime = smallest_prime_at_least(q)
     if inner.size < prime:
         raise CodeError(
@@ -316,7 +333,7 @@ def rs_sample_codewords(
     messages: set[tuple[int, ...]] = set()
     while len(messages) < count:
         messages.add(tuple(rng.randrange(prime) for _ in range(dim)))
-    return _rs_codewords(messages, q, prime)
+    return _rs_codewords(np.array(list(messages), dtype=np.int64), q, prime)
 
 
 def sample_codeword(code: BlockCode, seed: int = 0) -> tuple[int, ...]:

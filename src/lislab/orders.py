@@ -25,7 +25,7 @@ import bisect
 import itertools
 import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import IndexSet, Sequence, lis_patience
 
@@ -74,12 +74,14 @@ class StreamOrder:
 
     n: int
     pi: tuple[int, ...]
+    _time: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise OrderError(f"order length must be >= 1, got {self.n}")
         if sorted(self.pi) != list(range(1, self.n + 1)):
             raise OrderError(f"pi must be a permutation of 1..{self.n}")
+        object.__setattr__(self, "_time", {original: t for t, original in enumerate(self.pi, 1)})
 
     def at(self, i: int) -> int:
         """Original position revealed at stream time i (1-based)."""
@@ -91,7 +93,7 @@ class StreamOrder:
         """Stream time at which the given original position is revealed."""
         if not 1 <= original <= self.n:
             raise OrderError(f"original position {original} outside 1..{self.n}")
-        return self.pi.index(original) + 1
+        return self._time[original]
 
 
 def identity_order(n: int) -> StreamOrder:

@@ -8,6 +8,7 @@ assert before it held.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -147,3 +148,29 @@ def test_generator_determinism(tmp_path):
         sidecars = [name for name in dirs[0] if name.endswith(".json")]
         assert sidecars and json.loads(dirs[0][sidecars[0]])
     print("PASS determinism: all four generators reproduce byte-identical output")
+
+
+# sha256 of every artifact, pinned from the release before the array kernels
+# of the code layer, so that byte-identity across rewrites is checked here
+# and not only run against run
+GOLDEN_ARTIFACTS = {
+    ("type1", "--n", "128", "--seed", "5"): {
+        "type1_n128_seed5.json": "a54f9aa856f3a984749d2c805da248c0db4acdcbe60eb8eb7b080111ae3551d1",
+        "type1_n128_seed5_zuv.txt": "d1c45448adc8273810894a2a40f065d297f122a90b8ce90eafb9a10a1afee4e0",
+        "type1_n128_seed5_zvu.txt": "f01933db6fee1ba50f541aa898350e75a200b94d34348e5fdfe061b78b5c74c0",
+    },
+    ("type2", "--p", "8", "--q", "8", "--seed", "5"): {
+        "type2_p8_q8_seed5.json": "1e654a6be36d2ad58f6f5fd51560ac58061896bc4507dca42e4f7cb8b1c77c3d",
+        "type2_p8_q8_seed5_matrix.txt": "fe5b86f4614217e846e4b168aec8b505d02717d3956796b755b1adceeb765b2e",
+        "type2_p8_q8_seed5_sigma.txt": "5a7fb5d76e02f135deb8a7ab217751f1831ee4008f7731ed4d8532f9008964c4",
+    },
+}
+
+
+def test_generator_golden_digests(tmp_path):
+    for argv, want in GOLDEN_ARTIFACTS.items():
+        out = tmp_path / argv[0]
+        assert main(["gen", *argv, "--out", str(out)]) == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == want, f"artifacts of gen {' '.join(argv)} changed"
+    print("PASS golden digests: gen type1 n=128 and type2 p=q=8 match the pinned bytes")

@@ -47,6 +47,42 @@ def test_min_distance_hand_checked():
     assert min_distance(even) == 2
 
 
+def _pairwise_min(words):
+    return min(hamming(a, b) for a, b in itertools.combinations(words, 2))
+
+
+def test_min_distance_matches_pairwise_hamming():
+    rng = random.Random(4)
+    for _ in range(300):
+        alphabet, length = rng.randint(2, 7), rng.randint(1, 20)
+        size = min(rng.randint(2, 60), alphabet**length)
+        words = set()
+        while len(words) < size:
+            words.add(tuple(rng.randrange(alphabet) for _ in range(length)))
+        code = BlockCode(alphabet, length, tuple(sorted(words)), 1)
+        assert min_distance(code) == _pairwise_min(code.codewords)
+    for alphabet, length in ((2, 1), (3, 4), (7, 20)):
+        # distance 1: the full space holds words that differ in one place
+        full = itertools.islice(itertools.product(range(alphabet), repeat=length), 60)
+        code = BlockCode(alphabet, length, tuple(full), 1)
+        assert min_distance(code) == _pairwise_min(code.codewords) == 1
+        # distance = length: constant words differ everywhere
+        rep = tuple((s,) * length for s in range(alphabet))
+        assert min_distance(BlockCode(alphabet, length, rep, length)) == length
+
+
+def test_min_distance_finds_a_planted_pair_in_any_block():
+    # 530 words span three row blocks; plant a distance-1 pair inside a
+    # block, across a block boundary and between distant blocks
+    rng = random.Random(5)
+    words = [tuple(rng.randrange(7) for _ in range(20)) for _ in range(530)]
+    assert min_distance(BlockCode(7, 20, tuple(words), 1)) == _pairwise_min(words)
+    for i, j in ((0, 1), (255, 256), (256, 255), (10, 400), (300, 529), (529, 528)):
+        planted = list(words)
+        planted[j] = words[i][:-1] + ((words[i][-1] + 1) % 7,)
+        assert min_distance(BlockCode(7, 20, tuple(planted), 1)) == 1
+
+
 def test_min_distance_needs_two_words():
     lone = BlockCode(2, 2, ((0, 1),), 1)
     with pytest.raises(CodeError):
@@ -54,16 +90,21 @@ def test_min_distance_needs_two_words():
 
 
 def test_block_code_validation():
-    with pytest.raises(CodeError):
+    with pytest.raises(CodeError, match="alphabet size"):
         BlockCode(1, 3, (), 1)
-    with pytest.raises(CodeError):
-        BlockCode(2, 3, ((0, 0),), 1)  # wrong length
-    with pytest.raises(CodeError):
-        BlockCode(2, 2, ((0, 2),), 1)  # symbol outside alphabet
-    with pytest.raises(CodeError):
-        BlockCode(2, 2, ((0, 1), (0, 1)), 1)  # duplicate
-    with pytest.raises(CodeError):
-        BlockCode(2, 2, ((0, 1),), 3)  # distance beyond length
+    with pytest.raises(CodeError, match=r"codeword \(0, 0\) is not length 3"):
+        BlockCode(2, 3, ((0, 0, 1), (0, 0)), 1)
+    # an empty word is a length error, never a ValueError from min()
+    with pytest.raises(CodeError, match=r"codeword \(\) is not length 2"):
+        BlockCode(2, 2, ((0, 1), ()), 1)
+    with pytest.raises(CodeError, match=r"codeword \(0, 2\) has symbols outside"):
+        BlockCode(2, 2, ((1, 1), (0, 2)), 1)
+    with pytest.raises(CodeError, match=r"codeword \(-1, 0\) has symbols outside"):
+        BlockCode(2, 2, ((1, 1), (-1, 0)), 1)
+    with pytest.raises(CodeError, match=r"duplicate codeword \(0, 1\)"):
+        BlockCode(2, 2, ((0, 1), (1, 1), (0, 1)), 1)
+    with pytest.raises(CodeError, match="verified distance 3"):
+        BlockCode(2, 2, ((0, 1),), 3)
 
 
 def test_inner_length3_distance3_is_repetition():
@@ -116,6 +157,20 @@ def test_inner_codewords_form_linear_space():
     for a in code.codewords:
         for b in code.codewords:
             assert tuple(x ^ y for x, y in zip(a, b)) in words
+
+
+def test_inner_codewords_are_the_sorted_bit_expansion():
+    # replay the generator's draws and expand its span with bit shifts
+    for length, distance, log_size in ((5, 2, 2), (8, 3, 3), (9, 3, 3), (16, 4, 4), (21, 5, 5)):
+        code = gen_inner_binary(length, distance, min_log_size=log_size, seed=length)
+        rng = random.Random(length)
+        for _ in range(code.meta["attempts"]):
+            rows = [rng.getrandbits(length) for _ in range(log_size)]
+        span = [0]
+        for row in rows:
+            span += [w ^ row for w in span]
+        expanded = sorted(tuple((w >> (length - 1 - j)) & 1 for j in range(length)) for w in span)
+        assert list(code.codewords) == expanded
 
 
 def test_outer_reed_solomon_q4():
@@ -193,10 +248,33 @@ def test_rs_sample_codewords_distinct_and_spread():
     assert words == rs_sample_codewords(13, inner, count=40, seed=8)
 
 
+def _poly_eval(coeffs, point, prime):
+    # scalar Horner rule, the reference for the array encoder
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * point + c) % prime
+    return acc
+
+
+def test_rs_sample_words_are_poly_eval_of_the_seeded_messages():
+    inner = BlockCode(2, 8, tuple(itertools.product((0, 1), repeat=8)), 1)
+    q, count, seed = 128, 300, 21
+    prime, dim = smallest_prime_at_least(q), q // 2
+    rng = random.Random(seed)
+    messages = set()
+    while len(messages) < count:
+        messages.add(tuple(rng.randrange(prime) for _ in range(dim)))
+    want = sorted(tuple(_poly_eval(m, x, prime) for x in range(q)) for m in messages)
+    assert list(rs_sample_codewords(q, inner, count, seed)) == want
+
+
 def test_rs_sample_rejects_oversized_request():
     inner = gen_inner_binary(4, 1, min_log_size=3, seed=1)
     with pytest.raises(CodeError):
         rs_sample_codewords(2, inner, count=10)  # GF(2), dim 1: only 2 words
+    for q in (0, -1):
+        with pytest.raises(CodeError, match="outer length must be >= 1"):
+            rs_sample_codewords(q, inner, count=1)
 
 
 def test_sampling_helpers_are_seeded():

@@ -52,6 +52,14 @@ def test_stream_order_validation():
         order.time_of(0)
 
 
+def test_time_of_inverts_at_on_random_orders():
+    for n, seed in ((1, 0), (2, 1), (17, 2), (300, 3)):
+        order = random_order(n, seed)
+        assert [order.time_of(order.at(i)) for i in range(1, n + 1)] == list(range(1, n + 1))
+        with pytest.raises(OrderError):
+            order.time_of(n + 1)
+
+
 def test_interval_count_examples():
     n = 8
     assert interval_count(IndexSet.of(range(1, n // 2 + 1)), n) == 1

@@ -17,7 +17,14 @@ from lislab.core import (
     lis_patience,
     parse_sequence,
 )
-from lislab.orders import OrderError, StreamOrder, format_order, parse_order
+from lislab.orders import (
+    OrderError,
+    StreamOrder,
+    format_order,
+    parse_order,
+    type1_witness,
+    verify_type1,
+)
 from lislab.robp import (
     BPNode,
     BranchingProgram,
@@ -160,3 +167,12 @@ def test_malformed_text_fails_with_the_format_error(text):
         except error:
             continue
         assert parse(render(value)) == value
+
+
+@given(st.integers(2, 12).flatmap(lambda n: st.permutations(range(1, n + 1))), st.data())
+def test_every_type1_witness_verifies(pi, data):
+    order = StreamOrder(len(pi), tuple(pi))
+    m = data.draw(st.integers(1, order.n // 2))
+    for exhaustive in (False, True):
+        witness = type1_witness(order, m, exhaustive=exhaustive)
+        assert witness is None or verify_type1(order, witness)
