@@ -335,7 +335,9 @@ class StreamingAlgorithm(ABC):
 
     The harness calls init once, then for each pass: process for every item
     followed by end_pass, then finish once. state_bytes must serialize the
-    full working state; its length is what the space meter charges.
+    full working state; its length is what the space meter charges. The
+    harness calls it after init, every item and every end_pass, so it should
+    not cost O(n) Python steps per call.
     """
 
     def init(self, n: int, alphabet_bound: int, passes: int) -> None:
@@ -355,63 +357,73 @@ class StreamingAlgorithm(ABC):
 
 
 def _symbol_bits(alphabet_bound: int) -> int:
-    return max(1, (alphabet_bound + 1 - 1).bit_length())
-
-
-def _pack(values: list[int], width: int, acc: int = 0, bits: int = 0) -> bytes:
-    """Big-endian bytes of the `bits`-bit prefix acc, then each value in `width` bits."""
-    for value in values:
-        acc = (acc << width) | value
-    bits += width * len(values)
-    return acc.to_bytes((bits + 7) // 8 or 1, "big")
+    return max(1, alphabet_bound.bit_length())
 
 
 class StoreAll(StreamingAlgorithm):
-    """Baseline that stores the whole input: a seen-bitmap plus one packed
-    symbol per seen position, answering with the patience oracle."""
+    """Baseline that stores the whole input, answering with the patience oracle.
+
+    Serialized layout: an n-bit seen bitmap with position 1 as the MSB, then
+    one width-bit symbol per seen position in position order (width = bit
+    length of the alphabet bound, at least 1), big-endian, padded on the left
+    to whole bytes. Both parts are kept as integers updated per item.
+    """
 
     def init(self, n: int, alphabet_bound: int, passes: int) -> None:
         self.n = n
         self.bound = alphabet_bound
-        self.seen: dict[int, int] = {}
+        self.width = _symbol_bits(alphabet_bound)
+        self.positions: list[int] = []  # seen positions, ascending
+        self.symbols: list[int] = []  # their symbols, in the same order
+        self.bitmap = self.packed = 0
 
     def process(self, original_index: int, symbol: int) -> None:
-        self.seen[original_index] = symbol
+        rank = bisect.bisect_left(self.positions, original_index)
+        after = self.width * (len(self.positions) - rank)  # bits of the later symbols
+        if rank < len(self.positions) and self.positions[rank] == original_index:
+            self.packed ^= (self.symbols[rank] ^ symbol) << (after - self.width)
+            self.symbols[rank] = symbol
+            return
+        self.positions.insert(rank, original_index)
+        self.symbols.insert(rank, symbol)
+        self.bitmap |= 1 << (self.n - original_index)
+        low = self.packed & ((1 << after) - 1)
+        self.packed = ((self.packed >> after << self.width | symbol) << after) | low
 
     def finish(self) -> int:
-        x = Sequence(tuple(self.seen[i] for i in sorted(self.seen)), max(1, self.bound))
-        return lis_patience(x)[0]
+        return lis_patience(Sequence(tuple(self.symbols), max(1, self.bound)))[0]
 
     def state_bytes(self) -> bytes:
-        bitmap = sum(1 << (self.n - i) for i in self.seen)
-        symbols = [self.seen[i] for i in sorted(self.seen)]
-        return _pack(symbols, _symbol_bits(self.bound), bitmap, self.n)
+        bits = self.width * len(self.symbols)
+        return ((self.bitmap << bits) | self.packed).to_bytes((self.n + bits + 7) // 8 or 1, "big")
 
 
 class NaturalOrderPatience(StreamingAlgorithm):
     """Pile-tops baseline; exact only when arrival order is the natural one."""
 
     def init(self, n: int, alphabet_bound: int, passes: int) -> None:
-        self.bound = alphabet_bound
+        self.width = _symbol_bits(alphabet_bound)
         self.piles: list[int] = []
-        self.result = 0
+        self.packed = self.result = 0
 
     def process(self, original_index: int, symbol: int) -> None:
         spot = bisect.bisect_left(self.piles, symbol)
         if spot == len(self.piles):
             self.piles.append(symbol)
+            self.packed = self.packed << self.width | symbol
         else:
+            self.packed ^= (self.piles[spot] ^ symbol) << self.width * (len(self.piles) - 1 - spot)
             self.piles[spot] = symbol
 
     def end_pass(self) -> None:
         self.result = len(self.piles)
-        self.piles = []
+        self.piles, self.packed = [], 0
 
     def finish(self) -> int:
         return self.result
 
     def state_bytes(self) -> bytes:
-        return _pack(self.piles, _symbol_bits(self.bound))
+        return self.packed.to_bytes((self.width * len(self.piles) + 7) // 8 or 1, "big")
 
 
 def _meter(alg: StreamingAlgorithm) -> int:
@@ -435,9 +447,8 @@ def run_stream(
     alg.init(order.n, x.alphabet_bound, passes)
     peak = _meter(alg)
     for _ in range(passes):
-        for i in range(1, order.n + 1):
-            original = order.at(i)
-            alg.process(original, x.at(original))
+        for original in order.pi:
+            alg.process(original, x.symbols[original - 1])
             peak = max(peak, _meter(alg))
         alg.end_pass()
         peak = max(peak, _meter(alg))

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .codes import BlockCode, gen_inner_binary
-from .core import Sequence, lis_dp
+from .core import Sequence, lis_dp, lis_patience
 from .orders import StreamOrder, Type1Witness, verify_type1
 
 __all__ = [
@@ -133,7 +133,8 @@ def embed_in_order(
     The witness's early originals receive the odd gadget symbols and the late
     originals the even ones, both in value order, so the restriction of the
     output to the witness positions reads back as z. The zeros can raise lis
-    by at most one; the construction self-checks that window.
+    by at most one; the construction self-checks that window, with lis_dp on
+    z and the lis_patience length on the full stream.
     """
     z = inst.z_vu if swap else inst.z_uv
     if 2 * witness.m != len(z.symbols):
@@ -151,7 +152,7 @@ def embed_in_order(
         out[b - 1] = z.at(2 * t)
     result = Sequence(tuple(out), z.alphabet_bound)
     base = lis_dp(z)
-    spread = lis_dp(result)
+    spread = lis_patience(result)[0]
     if spread not in (base, base + 1):  # pragma: no cover - guards the construction
         raise GadgetError(
             f"embedding changed lis from {base} to {spread}; the zero filler "

@@ -11,9 +11,20 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
+import random
+import time
 
 from lislab.cli import main, run_suite
 from lislab.core import Sequence, lis_dp
+from lislab.orders import (
+    NaturalOrderPatience,
+    StoreAll,
+    identity_order,
+    oddeven_order,
+    random_order,
+    run_stream,
+)
 from lislab.type1 import disj_gadget, gap_code
 from lislab.type2 import key_case
 
@@ -174,3 +185,22 @@ def test_generator_golden_digests(tmp_path):
         got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert got == want, f"artifacts of gen {' '.join(argv)} changed"
     print("PASS golden digests: gen type1 n=128 and type2 p=q=8 match the pinned bytes")
+
+
+def test_metered_stream_at_n8192():
+    n, bound = 8192, 1000
+    rng = random.Random(8192)
+    x = Sequence(tuple(rng.randint(0, bound) for _ in range(n)), bound)
+    start = time.perf_counter()
+    want = run_stream(NaturalOrderPatience(), x, identity_order(n)).output
+    bits = 8 * math.ceil((n + 10 * n) / 8)
+    assert bits == 90_112
+    for order in (random_order(n, 0), oddeven_order(n)):
+        store = run_stream(StoreAll(), x, order)
+        assert store.output == want
+        assert store.max_state_bits == bits
+        assert run_stream(NaturalOrderPatience(), x, order, passes=2).passes_used == 2
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0
+    print(f"PASS metered stream: StoreAll exact at n={n} in {bits} bits over 2 orders "
+          f"in {elapsed:.2f}s")

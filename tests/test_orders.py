@@ -260,23 +260,72 @@ def _bitwise_pack(fields: list[tuple[int, int]]) -> bytes:
 
 
 def test_state_bytes_match_a_bitwise_reference():
+    # checked after init, every item and every end_pass over two passes; the
+    # second pass re-streams every position, changing about half the symbols
     rng = random.Random(61)
     for _ in range(300):
         n = rng.randrange(1, 40)
         bound = rng.choice((1, 2, 3, 7, 8, 255, 1000))
         width = max(1, bound.bit_length())
         store, piles = StoreAll(), NaturalOrderPatience()
-        store.init(n, bound, 1)
-        piles.init(n, bound, 1)
+        store.init(n, bound, 2)
+        piles.init(n, bound, 2)
         seen = {}
-        for i in rng.sample(range(1, n + 1), rng.randrange(n + 1)):
-            seen[i] = rng.randint(0, bound)
-            store.process(i, seen[i])
-            piles.process(i, seen[i])
-        bitmap = [(1 if i in seen else 0, 1) for i in range(1, n + 1)]
-        symbols = [(seen[i], width) for i in sorted(seen)]
-        assert store.state_bytes() == _bitwise_pack(bitmap + symbols)
-        assert piles.state_bytes() == _bitwise_pack([(t, width) for t in piles.piles])
+
+        def agree():
+            bitmap = [(1 if i in seen else 0, 1) for i in range(1, n + 1)]
+            symbols = [(seen[i], width) for i in sorted(seen)]
+            assert store.state_bytes() == _bitwise_pack(bitmap + symbols)
+            assert piles.state_bytes() == _bitwise_pack([(t, width) for t in piles.piles])
+
+        agree()
+        for count in (rng.randrange(n + 1), n):
+            for i in rng.sample(range(1, n + 1), count):
+                if i not in seen or rng.random() < 0.5:
+                    seen[i] = rng.randint(0, bound)
+                store.process(i, seen[i])
+                piles.process(i, seen[i])
+                agree()
+            store.end_pass()
+            piles.end_pass()
+            agree()
+
+
+def test_meter_reads_the_state_after_every_item_and_pass():
+    class Counting(StreamingAlgorithm):
+        """Holds odd-position symbols, dropping one per even position; each
+        end_pass adds n + 1 bytes that the next item clears again."""
+
+        def init(self, n, alphabet_bound, passes):
+            self.n, self.held, self.spike = n, [], 0
+            self.calls = self.longest = 0
+
+        def process(self, original_index, symbol):
+            self.spike = 0
+            if original_index % 2:
+                self.held.append(symbol)
+            elif self.held:
+                self.held.pop()
+
+        def end_pass(self):
+            self.spike = self.n + 1
+
+        def finish(self):
+            return len(self.held)
+
+        def state_bytes(self):
+            blob = bytes(self.held) + bytes(self.spike)
+            self.calls += 1
+            self.longest = max(self.longest, len(blob))
+            return blob
+
+    rng = random.Random(17)
+    for n, passes in ((1, 1), (2, 3), (9, 2), (40, 3)):
+        x = Sequence.of([rng.randrange(256) for _ in range(n)], alphabet_bound=255)
+        alg = Counting()
+        run = run_stream(alg, x, random_order(n, n), passes)
+        assert alg.calls == passes * (n + 1) + 1
+        assert run.max_state_bits == 8 * alg.longest
 
 
 def test_order_file_round_trip(tmp_path):
